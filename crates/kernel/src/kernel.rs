@@ -228,9 +228,10 @@ pub enum EventKind {
     RunEnd,
 }
 
-impl std::fmt::Display for EventKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+impl EventKind {
+    /// The kind's stable kebab-case name, as traces and exports spell it.
+    pub fn name(self) -> &'static str {
+        match self {
             EventKind::Fault => "fault",
             EventKind::DemandLoaded => "demand-loaded",
             EventKind::PreloadStart => "preload-start",
@@ -245,8 +246,13 @@ impl std::fmt::Display for EventKind {
             EventKind::PreloadHit => "preload-hit",
             EventKind::StreamPredicted => "stream-predicted",
             EventKind::RunEnd => "run-end",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl std::fmt::Display for EventKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
     }
 }
 

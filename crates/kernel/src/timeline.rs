@@ -10,7 +10,7 @@
 
 use std::io::{self, Write};
 
-use sgx_sim::Cycles;
+use sgx_sim::{Cycles, FastMap};
 
 use crate::{EventKind, LoggedEvent, TraceSink};
 
@@ -156,16 +156,50 @@ pub enum SeriesFormat {
     Json,
 }
 
+/// Two-digit decimal pairs "00".."99", for [`push_u64`].
+const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends `v` in decimal, two digits at a time: the exports' one
+/// number formatter.
+fn push_u64(buf: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    while v >= 10 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        digits[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v > 0 || i == digits.len() {
+        i -= 1;
+        digits[i] = b'0' + v as u8;
+    }
+    buf.extend_from_slice(&digits[i..]);
+}
+
+/// Appends `key` and then `v` in decimal.
+fn field(buf: &mut Vec<u8>, key: &[u8], v: u64) {
+    buf.extend_from_slice(key);
+    push_u64(buf, v);
+}
+
 /// Streams [`GaugeSample`]s into a compact CSV or JSON series.
 ///
-/// Ignores ordinary events; only sampled gauges are written. The JSON
-/// array is closed by [`TimeSeriesSink::finish`] (called from `Drop` if
-/// not called explicitly). Write errors are latched: the first failure
-/// stops further output and is reported by `finish`.
+/// Ignores ordinary events; only sampled gauges are written, each
+/// formatted into a reused line buffer and handed to the writer in one
+/// `write_all`. The JSON array is closed by [`TimeSeriesSink::finish`]
+/// (called from `Drop` if not called explicitly). Write errors are
+/// latched: the first failure stops further output and is reported by
+/// `finish`.
 pub struct TimeSeriesSink<W: Write> {
     out: Option<W>,
     format: SeriesFormat,
     samples: u64,
+    line: Vec<u8>,
     error: Option<io::Error>,
 }
 
@@ -190,6 +224,7 @@ impl<W: Write> TimeSeriesSink<W> {
             out: Some(out),
             format,
             samples: 0,
+            line: Vec::new(),
             error: None,
         }
     }
@@ -203,69 +238,61 @@ impl<W: Write> TimeSeriesSink<W> {
         let Some(out) = self.out.as_mut() else {
             return Ok(());
         };
-        let tenants = sample
-            .tenant_resident
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join("|");
-        match self.format {
+        // Every column but the list-valued `tenant_resident`, which
+        // comes last.
+        let scalars = [
+            ("at", sample.at.raw()),
+            ("epc_resident", sample.epc_resident),
+            ("epc_free", sample.epc_free),
+            ("queue_depth", sample.queue_depth),
+            ("sip_queue_depth", sample.sip_queue_depth),
+            ("live_streams", sample.live_streams),
+            ("valve_stops", sample.valve_stops),
+            ("channel_busy", sample.channel_busy.raw()),
+            ("faults", sample.faults),
+            ("preloads_started", sample.preloads_started),
+            ("scan_steps", sample.scan_steps),
+        ];
+        let line = &mut self.line;
+        line.clear();
+        let list_sep = match self.format {
             SeriesFormat::Csv => {
                 if self.samples == 0 {
-                    writeln!(
-                        out,
-                        "at,epc_resident,epc_free,queue_depth,sip_queue_depth,\
-                         live_streams,valve_stops,channel_busy,faults,\
-                         preloads_started,scan_steps,tenant_resident"
-                    )?;
+                    for (name, _) in scalars {
+                        line.extend_from_slice(name.as_bytes());
+                        line.push(b',');
+                    }
+                    line.extend_from_slice(b"tenant_resident\n");
                 }
-                writeln!(
-                    out,
-                    "{},{},{},{},{},{},{},{},{},{},{},{}",
-                    sample.at.raw(),
-                    sample.epc_resident,
-                    sample.epc_free,
-                    sample.queue_depth,
-                    sample.sip_queue_depth,
-                    sample.live_streams,
-                    sample.valve_stops,
-                    sample.channel_busy.raw(),
-                    sample.faults,
-                    sample.preloads_started,
-                    sample.scan_steps,
-                    tenants,
-                )?;
+                for (_, v) in scalars {
+                    push_u64(line, v);
+                    line.push(b',');
+                }
+                b'|'
             }
             SeriesFormat::Json => {
-                out.write_all(if self.samples == 0 { b"[\n" } else { b",\n" })?;
-                write!(
-                    out,
-                    "{{\"at\":{},\"epc_resident\":{},\"epc_free\":{},\
-                     \"queue_depth\":{},\"sip_queue_depth\":{},\
-                     \"live_streams\":{},\"valve_stops\":{},\
-                     \"channel_busy\":{},\"faults\":{},\
-                     \"preloads_started\":{},\"scan_steps\":{},\
-                     \"tenant_resident\":[{}]}}",
-                    sample.at.raw(),
-                    sample.epc_resident,
-                    sample.epc_free,
-                    sample.queue_depth,
-                    sample.sip_queue_depth,
-                    sample.live_streams,
-                    sample.valve_stops,
-                    sample.channel_busy.raw(),
-                    sample.faults,
-                    sample.preloads_started,
-                    sample.scan_steps,
-                    sample
-                        .tenant_resident
-                        .iter()
-                        .map(u64::to_string)
-                        .collect::<Vec<_>>()
-                        .join(","),
-                )?;
+                line.extend_from_slice(if self.samples == 0 { b"[\n{" } else { b",\n{" });
+                for (name, v) in scalars {
+                    line.push(b'"');
+                    line.extend_from_slice(name.as_bytes());
+                    field(line, b"\":", v);
+                    line.push(b',');
+                }
+                line.extend_from_slice(b"\"tenant_resident\":[");
+                b','
             }
+        };
+        for (i, &v) in sample.tenant_resident.iter().enumerate() {
+            if i > 0 {
+                line.push(list_sep);
+            }
+            push_u64(line, v);
         }
+        line.extend_from_slice(match self.format {
+            SeriesFormat::Csv => b"\n",
+            SeriesFormat::Json => b"]}",
+        });
+        out.write_all(line)?;
         self.samples += 1;
         Ok(())
     }
@@ -342,6 +369,53 @@ fn closes_span(kind: EventKind) -> bool {
     matches!(kind, EventKind::FaultResolved | EventKind::PreloadDone)
 }
 
+/// What the Chrome render needs to know about one span.
+struct SpanFacts {
+    /// The span's first event `(ts, lane)`: where its flow arrows start.
+    anchor: (u64, u64),
+    /// Timestamp of the span's first closing event.
+    close_at: Option<u64>,
+    /// Whether an opening event of the span appears in the stream.
+    opened: bool,
+}
+
+/// Span id -> [`SpanFacts`]. `sgx_sim::FastMap` reserves `u64::MAX` as
+/// its empty marker, so that one id, which a foreign stream may still
+/// carry, lives beside the map.
+#[derive(Default)]
+struct SpanIndex {
+    slots: FastMap,
+    facts: Vec<SpanFacts>,
+    max_id: Option<SpanFacts>,
+}
+
+impl SpanIndex {
+    fn get(&self, span: u64) -> Option<&SpanFacts> {
+        match span {
+            u64::MAX => self.max_id.as_ref(),
+            _ => self.slots.get(span).map(|i| &self.facts[i as usize]),
+        }
+    }
+
+    /// The span's facts, created with `anchor` on its first event.
+    fn entry(&mut self, span: u64, anchor: (u64, u64)) -> &mut SpanFacts {
+        let new = SpanFacts {
+            anchor,
+            close_at: None,
+            opened: false,
+        };
+        if span == u64::MAX {
+            return self.max_id.get_or_insert(new);
+        }
+        let i = self.slots.get(span).unwrap_or_else(|| {
+            self.slots.insert(span, self.facts.len() as u64);
+            self.facts.push(new);
+            self.facts.len() as u64 - 1
+        });
+        &mut self.facts[i as usize]
+    }
+}
+
 /// Buffers the event stream and renders Chrome trace-event JSON
 /// (loadable in `ui.perfetto.dev` or `chrome://tracing`) on
 /// [`ChromeTraceSink::finish`] / drop.
@@ -379,13 +453,9 @@ impl<W: Write> ChromeTraceSink<W> {
         }
     }
 
-    /// Events buffered so far.
-    pub fn event_count(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Renders the buffered stream and flushes. Idempotent: the second
-    /// call is a no-op.
+    /// Streams the buffered events into the writer through
+    /// [`write_chrome_trace`] and flushes. Idempotent: the second call is
+    /// a no-op, also after an error.
     ///
     /// # Errors
     ///
@@ -394,9 +464,7 @@ impl<W: Write> ChromeTraceSink<W> {
         let Some(mut out) = self.out.take() else {
             return Ok(());
         };
-        let body = render_chrome_trace(&self.buf);
-        out.write_all(body.as_bytes())?;
-        out.flush()
+        write_chrome_trace(&self.buf, &mut out)
     }
 }
 
@@ -412,136 +480,122 @@ impl<W: Write> Drop for ChromeTraceSink<W> {
     }
 }
 
-/// Renders `events` (one run's stream, in emission order) as a Chrome
-/// trace-event JSON document. Deterministic: a byte-identical stream
-/// renders to byte-identical JSON.
-pub fn render_chrome_trace(events: &[LoggedEvent]) -> String {
-    use std::fmt::Write as _;
+/// Size of the chunks [`write_chrome_trace`] hands to its writer: records
+/// accumulate in one reused buffer that is written out whenever it holds
+/// at least this many bytes.
+const CHROME_CHUNK: usize = 64 * 1024;
 
-    use sgx_sim::{FastMap, FastSet};
-
-    // One linear indexing pass replaces the per-close-event stream rescans
-    // this used to do (the render was quadratic in stream length), and the
-    // records are written straight into the output buffer instead of
-    // through one heap-allocated `String` per record.
-    //
-    // First event of every span: the flow-arrow anchor `(ts, lane)`.
-    let mut anchor_idx = FastMap::new();
-    let mut anchors: Vec<(u64, u64)> = Vec::new();
-    // span -> close timestamp, for open events rendered as durations.
-    let mut close_at = FastMap::new();
-    // Spans with an opening event somewhere in the stream.
-    let mut openers = FastSet::new();
+/// Streams `events` (one run's stream, in emission order) into `out` as
+/// a Chrome trace-event JSON document, then flushes `out`.
+///
+/// One linear indexing pass finds every span's flow-arrow anchor, close
+/// timestamp and opener; the records are then formatted into one reused
+/// buffer that is written out whenever it reaches 64 KiB, so memory
+/// beyond the index is one chunk whatever the document's size.
+/// Deterministic: a byte-identical stream renders to byte-identical JSON.
+///
+/// # Errors
+///
+/// Propagates the writer's first error; the document is then truncated.
+pub fn write_chrome_trace<W: Write>(events: &[LoggedEvent], out: &mut W) -> io::Result<()> {
+    // One linear indexing pass: what the render needs to know about
+    // every span before its first record is written.
+    let mut spans = SpanIndex::default();
     let mut lanes: std::collections::BTreeSet<u64> = [0].into();
     for e in events {
         let lane = chrome_lane(e);
         lanes.insert(lane);
-        let s = e.span.raw();
-        if anchor_idx.get(s).is_none() {
-            anchor_idx.insert(s, anchors.len() as u64);
-            anchors.push((e.at.raw(), lane));
-        }
-        if opens_span(e.what) {
-            openers.insert(s);
-        }
-        if closes_span(e.what) && close_at.get(s).is_none() {
-            close_at.insert(s, e.at.raw());
+        let facts = spans.entry(e.span.raw(), (e.at.raw(), lane));
+        facts.opened |= opens_span(e.what);
+        if closes_span(e.what) {
+            facts.close_at.get_or_insert(e.at.raw());
         }
     }
 
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-    };
-    sep(&mut out);
-    out.push_str(
-        "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"sgx-preload\"}}",
+    // The process-name record always comes first, so every later record
+    // is preceded by the `,\n` separator.
+    let mut buf = Vec::with_capacity(CHROME_CHUNK + 1024);
+    buf.extend_from_slice(
+        b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n\
+          {\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"sgx-preload\"}}",
     );
     for &lane in &lanes {
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{lane},\"name\":\"thread_name\",\
-             \"args\":{{\"name\":\""
-        );
+        field(&mut buf, b",\n{\"ph\":\"M\",\"pid\":1,\"tid\":", lane);
+        buf.extend_from_slice(b",\"name\":\"thread_name\",\"args\":{\"name\":\"");
         if lane == 0 {
-            out.push_str("load channel");
+            buf.extend_from_slice(b"load channel");
         } else {
-            let _ = write!(out, "enclave {}", lane - 1);
+            field(&mut buf, b"enclave ", lane - 1);
         }
-        out.push_str("\"}}");
+        buf.extend_from_slice(b"\"}}");
     }
 
-    let mut args = String::new();
     for e in events {
+        if buf.len() >= CHROME_CHUNK {
+            out.write_all(&buf)?;
+            buf.clear();
+        }
         let lane = chrome_lane(e);
         let s = e.span.raw();
-        if closes_span(e.what) && close_at.get(s) == Some(e.at.raw()) && openers.contains(s) {
+        let at = e.at.raw();
+        let facts = spans.get(s).expect("the indexing pass saw every span");
+        if closes_span(e.what) && facts.close_at == Some(at) && facts.opened {
             // Rendered as the duration of its opening event; closes with
             // no opener (foreign stream) fall through to an instant.
             continue;
         }
-        args.clear();
-        let _ = write!(args, "\"span\":{}", s);
+        let done = facts.close_at.filter(|_| opens_span(e.what));
+        let ph: &[u8] = match done {
+            Some(_) => b",\n{\"ph\":\"X\",\"pid\":1,\"tid\":",
+            None => b",\n{\"ph\":\"i\",\"pid\":1,\"tid\":",
+        };
+        field(&mut buf, ph, lane);
+        field(&mut buf, b",\"ts\":", at);
+        match done {
+            Some(done) => field(&mut buf, b",\"dur\":", done.saturating_sub(at)),
+            None => buf.extend_from_slice(b",\"s\":\"t\""),
+        }
+        buf.extend_from_slice(b",\"name\":\"");
+        buf.extend_from_slice(e.what.name().as_bytes());
+        field(&mut buf, b"\",\"args\":{\"span\":", s);
         if let Some(p) = e.parent {
-            let _ = write!(args, ",\"parent\":{}", p.raw());
+            field(&mut buf, b",\"parent\":", p.raw());
         }
         if let Some(p) = e.page {
-            let _ = write!(args, ",\"page\":{}", p.raw());
+            field(&mut buf, b",\"page\":", p.raw());
         }
         if let Some(v) = e.value {
-            let _ = write!(args, ",\"value\":{v}");
+            field(&mut buf, b",\"value\":", v);
         }
-        sep(&mut out);
-        match close_at.get(s).filter(|_| opens_span(e.what)) {
-            Some(done) => {
-                let _ = write!(
-                    out,
-                    "{{\"ph\":\"X\",\"pid\":1,\"tid\":{lane},\"ts\":{},\"dur\":{},\
-                     \"name\":\"{}\",\"args\":{{{args}}}}}",
-                    e.at.raw(),
-                    done.saturating_sub(e.at.raw()),
-                    e.what,
-                );
-            }
-            None => {
-                let _ = write!(
-                    out,
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{lane},\"ts\":{},\"s\":\"t\",\
-                     \"name\":\"{}\",\"args\":{{{args}}}}}",
-                    e.at.raw(),
-                    e.what,
-                );
-            }
-        }
+        buf.extend_from_slice(b"}}");
         // One flow arrow per causal link, anchored at the parent span's
         // first event. Links to spans absent from the stream draw nothing
         // — a rendered arrow always references two emitted spans.
-        if let Some(parent) = e.parent {
-            if let Some(i) = anchor_idx.get(parent.raw()) {
-                let (pts, ptid) = anchors[i as usize];
-                sep(&mut out);
-                let _ = write!(
-                    out,
-                    "{{\"ph\":\"s\",\"pid\":1,\"tid\":{ptid},\"ts\":{pts},\
-                     \"id\":{s},\"name\":\"cause\",\"cat\":\"flow\"}}",
-                );
-                sep(&mut out);
-                let _ = write!(
-                    out,
-                    "{{\"ph\":\"f\",\"bp\":\"e\",\"pid\":1,\"tid\":{lane},\
-                     \"ts\":{},\"id\":{s},\"name\":\"cause\",\"cat\":\"flow\"}}",
-                    e.at.raw(),
-                );
+        if let Some(parent) = e.parent.and_then(|p| spans.get(p.raw())) {
+            let (pts, ptid) = parent.anchor;
+            let start: &[u8] = b",\n{\"ph\":\"s\",\"pid\":1,\"tid\":";
+            let finish: &[u8] = b",\n{\"ph\":\"f\",\"bp\":\"e\",\"pid\":1,\"tid\":";
+            for (ph, tid, ts) in [(start, ptid, pts), (finish, lane, at)] {
+                field(&mut buf, ph, tid);
+                field(&mut buf, b",\"ts\":", ts);
+                field(&mut buf, b",\"id\":", s);
+                buf.extend_from_slice(b",\"name\":\"cause\",\"cat\":\"flow\"}");
             }
         }
     }
-    out.push_str("\n]}\n");
-    out
+    buf.extend_from_slice(b"\n]}\n");
+    out.write_all(&buf)?;
+    out.flush()
+}
+
+/// Renders `events` as a Chrome trace-event JSON document in memory:
+/// [`write_chrome_trace`] into a `Vec`. Prefer streaming into the
+/// destination with `write_chrome_trace` for large runs.
+pub fn render_chrome_trace(events: &[LoggedEvent]) -> String {
+    // Events average under 200 bytes; presizing spares doubling copies.
+    let mut out = Vec::with_capacity(events.len() * 200 + 1024);
+    write_chrome_trace(events, &mut out).expect("writing into a Vec cannot fail");
+    String::from_utf8(out).expect("the trace is ASCII")
 }
 
 #[cfg(test)]
@@ -639,71 +693,5 @@ mod tests {
             json.contains("\"tid\":0,\"ts\":20"),
             "preload on channel lane"
         );
-    }
-
-    #[test]
-    fn time_series_csv_emits_header_then_rows() {
-        let mut buf = Vec::new();
-        {
-            let mut sink = TimeSeriesSink::new(&mut buf, SeriesFormat::Csv);
-            let sample = GaugeSample {
-                at: Cycles::new(500),
-                epc_resident: 3,
-                epc_free: 1,
-                queue_depth: 2,
-                sip_queue_depth: 0,
-                live_streams: 1,
-                valve_stops: 0,
-                channel_busy: Cycles::new(40),
-                faults: 6,
-                preloads_started: 2,
-                scan_steps: 9,
-                tenant_resident: vec![2, 1],
-            };
-            sink.on_sample(&sample);
-            sink.on_sample(&sample);
-            assert_eq!(sink.written(), 2);
-            sink.finish().unwrap();
-        }
-        let text = String::from_utf8(buf).unwrap();
-        let mut lines = text.lines();
-        assert!(lines.next().unwrap().starts_with("at,epc_resident"));
-        assert_eq!(lines.next().unwrap(), "500,3,1,2,0,1,0,40,6,2,9,2|1");
-        assert_eq!(text.lines().count(), 3, "header + two samples");
-    }
-
-    #[test]
-    fn time_series_json_is_a_closed_array() {
-        let mut buf = Vec::new();
-        {
-            let mut sink = TimeSeriesSink::new(&mut buf, SeriesFormat::Json);
-            sink.on_sample(&GaugeSample {
-                at: Cycles::new(1),
-                epc_resident: 0,
-                epc_free: 4,
-                queue_depth: 0,
-                sip_queue_depth: 0,
-                live_streams: 0,
-                valve_stops: 0,
-                channel_busy: Cycles::ZERO,
-                faults: 0,
-                preloads_started: 0,
-                scan_steps: 0,
-                tenant_resident: vec![0],
-            });
-        } // drop finishes
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.trim_start().starts_with('['));
-        assert!(text.trim_end().ends_with(']'));
-        assert!(text.contains("\"tenant_resident\":[0]"));
-    }
-
-    #[test]
-    fn empty_json_series_still_closes() {
-        let mut buf = Vec::new();
-        TimeSeriesSink::new(&mut buf, SeriesFormat::Json)
-            .finish()
-            .unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap().trim(), "[]");
     }
 }

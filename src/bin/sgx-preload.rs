@@ -20,7 +20,7 @@ use sgx_preloading::kernel::EventKind;
 use sgx_preloading::prelude::*;
 use sgx_preloading::workloads::SGXT_MAGIC;
 use sgx_preloading::{
-    build_plan, effective_jobs, profile_stream, render_chrome_trace, ChromeTraceSink,
+    build_plan, effective_jobs, profile_stream, write_chrome_trace, ChromeTraceSink,
     CollectingSink, CountingSink, EpcSizing, HistogramSink, NotifyPlacement, RecordedTrace,
     SeriesFormat, StreamConfig, DEFAULT_TIMELINE_SERIES_INTERVAL,
 };
@@ -1438,8 +1438,9 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
         }
     }
     if let Some(path) = args.get("chrome-out") {
-        let json = render_chrome_trace(&events);
-        std::fs::write(path, &json).map_err(|e| format!("--chrome-out {path}: {e}"))?;
+        std::fs::File::create(path)
+            .and_then(|f| write_chrome_trace(&events, &mut std::io::BufWriter::new(f)))
+            .map_err(|e| format!("--chrome-out {path}: {e}"))?;
         println!("chrome trace: {path} (open at ui.perfetto.dev)");
     }
 
@@ -1504,8 +1505,10 @@ fn cmd_throughput(args: &Args) -> Result<(), String> {
     let mut events = 0u64;
     let mut pages = 0u64;
     let mut accesses = 0u64;
+    let mut iter_nanos = Vec::with_capacity(iters as usize);
     let t0 = std::time::Instant::now();
     for _ in 0..iters {
+        let t_iter = std::time::Instant::now();
         let (counter, counts) = CountingSink::new();
         let report = SimRun::new(&cfg)
             .scheme(scheme)
@@ -1521,8 +1524,11 @@ fn cmd_throughput(args: &Args) -> Result<(), String> {
         // SIP loads.
         pages += c.demand_loads + c.preload_dones + c.sip_loads;
         accesses += report.accesses;
+        iter_nanos.push(t_iter.elapsed().as_nanos() as u64);
     }
     let wall = t0.elapsed();
+    iter_nanos.sort_unstable();
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let secs = wall.as_secs_f64().max(f64::MIN_POSITIVE);
     let events_per_sec = events as f64 / secs;
     let pages_per_sec = pages as f64 / secs;
@@ -1547,7 +1553,8 @@ fn cmd_throughput(args: &Args) -> Result<(), String> {
         "{{\"bench\":\"{}\",\"scheme\":\"{}\",\"iters\":{},\"events\":{},\"pages\":{},\
          \"accesses\":{},\"wall_nanos\":{},\"events_per_sec\":{:.1},\
          \"simulated_pages_per_sec\":{:.1},\"baseline_events_per_sec\":{:.1},\
-         \"speedup_vs_baseline\":{:.2}}}",
+         \"speedup_vs_baseline\":{:.2},\"nproc\":{},\"iter_wall_nanos_min\":{},\
+         \"iter_wall_nanos_median\":{},\"iter_wall_nanos_mean\":{}}}",
         bench.name(),
         scheme.name(),
         iters,
@@ -1559,6 +1566,10 @@ fn cmd_throughput(args: &Args) -> Result<(), String> {
         pages_per_sec,
         baseline,
         speedup,
+        nproc,
+        iter_nanos[0],
+        iter_nanos[iter_nanos.len() / 2],
+        wall.as_nanos() as u64 / u64::from(iters),
     );
     write_json_out(args, &json)?;
     Ok(())
