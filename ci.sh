@@ -228,6 +228,40 @@ print(f"predictor zoo OK: {cells_total} cells at "
       f"{bench['cells_per_sec']:.1f} cells/sec; demand faults {faults}")
 EOF
 
+echo "==> paper campaign tallies"
+# The full 22 x 5 paper grid runs with no sink attached; every cell's event
+# tallies come from the kernel itself. The report must be identical at
+# --jobs 1 and --jobs 4 once the timing context (jobs, wall clocks) is
+# removed, and each cell's tallies must reconcile with its report.
+./target/release/sgx-preload campaign --scale 16 --jobs 1 \
+  --json-out "$TRACE_DIR/paper_j1.json" >/dev/null
+./target/release/sgx-preload campaign --scale 16 --jobs 4 \
+  --json-out "$TRACE_DIR/paper_j4.json" >/dev/null
+python3 - "$TRACE_DIR" <<'EOF'
+import json, sys
+
+trace_dir = sys.argv[1]
+for j in (1, 4):
+    with open(f"{trace_dir}/paper_j{j}.json") as f:
+        report = json.load(f)
+    report.pop("jobs", None)
+    report.pop("wall_nanos", None)
+    for cell in report["cells"]:
+        cell.pop("wall_nanos", None)
+    with open(f"{trace_dir}/paper_j{j}.canonical.json", "w") as f:
+        json.dump(report, f, sort_keys=True)
+cells = report["cells"]
+assert len(cells) == 110, f"expected 22 benchmarks x 5 schemes, got {len(cells)}"
+for c in cells:
+    ev, r = c["events"], c["report"]
+    assert ev["faults"] == r["faults"], c["label"]
+    assert ev["faults_resolved"] == r["faults"], c["label"]
+    assert ev["preload_starts"] == r["preloads_started"], c["label"]
+    assert ev["run_ends"] == 1, c["label"]
+print(f"paper campaign OK: {len(cells)} cells reconcile with their tallies")
+EOF
+cmp "$TRACE_DIR/paper_j1.canonical.json" "$TRACE_DIR/paper_j4.canonical.json"
+
 echo "==> leakage observatory"
 # The untrusted-OS leakage grid: all three secret pairs under the
 # baseline/DFP/SIP panel plus the per-pair ORAM reference rows. The

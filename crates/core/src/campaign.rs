@@ -56,8 +56,8 @@ use std::time::Instant;
 
 use sgx_dfp::PredictorKind;
 use sgx_kernel::{
-    ChaosSchedule, ChromeTraceSink, CountingSink, EventCounts, JsonlWriterSink, SeriesFormat,
-    TenantPolicy, TimeSeriesSink, TraceSink,
+    ChaosSchedule, ChromeTraceSink, EventCounts, JsonlWriterSink, SeriesFormat, TenantPolicy,
+    TimeSeriesSink, TraceSink,
 };
 use sgx_observer::{LeakageReport, ObserverSink, OramModel};
 use sgx_workloads::{AccessIter, Benchmark, PageRange, SecretBit, SecretPair};
@@ -719,14 +719,12 @@ fn run_cell(
         return run_leakage_cell(cell, *spec, &cfg, index, seed, trace_dir, timeline_dir);
     }
     let t0 = Instant::now();
-    let (counting, counts) = CountingSink::new();
     let mut run = SimRun::new(&cfg).scheme(cell.scheme);
     run = match &cell.work {
         CellWork::Bench(bench) => run.bench(*bench),
         CellWork::Replay(replay) => run.replay(replay.clone()),
         CellWork::Leakage(_) => unreachable!("dispatched above"),
     };
-    run = run.sink(Box::new(counting));
     if let Some(dir) = trace_dir {
         if let Some(sink) = open_cell_trace(dir, index, &cell.label) {
             run = run.sink(Box::new(sink) as Box<dyn TraceSink>);
@@ -737,20 +735,18 @@ fn run_cell(
             run = run.sink(sink);
         }
     }
-    // A user-level cell bypasses the kernel, so its sinks see no events
-    // and the tallies stay zero — same behavior the event log had.
+    // A user-level cell bypasses the kernel, so its tallies stay zero.
     let report = run.run_one().map_err(|e| CampaignError {
         index,
         label: cell.label.clone(),
         source: e,
     })?;
-    let events = counts.get();
     Ok(CellReport {
         index,
         label: cell.label.clone(),
         seed,
+        events: report.events,
         report,
-        events,
         leakage: None,
         wall_nanos: t0.elapsed().as_nanos() as u64,
     })
@@ -786,7 +782,18 @@ fn run_leakage_cell(
     } else {
         spec.pair.elrange_pages(cfg.scale)
     };
-    let mut first: Option<(RunReport, EventCounts)> = None;
+    let plan = if cell.scheme.uses_sip() {
+        let train: AccessIter = if spec.oram {
+            oram.stream(cfg.scale, sgx_sim::mix(seed, 0x5EC7))
+        } else {
+            spec.pair.train(cfg.scale, seed)
+        };
+        let profile = sgx_sip::profile_stream(train, cfg.epc_pages as usize);
+        sgx_sip::InstrumentationPlan::from_profile(&profile, cfg.sip)
+    } else {
+        sgx_sip::InstrumentationPlan::none()
+    };
+    let mut first: Option<RunReport> = None;
     let mut observations = Vec::with_capacity(2);
     for secret in SecretBit::BOTH {
         // The ORAM row feeds the *same* padded stream to both labels:
@@ -796,29 +803,16 @@ fn run_leakage_cell(
         } else {
             spec.pair.build(secret, cfg.scale, seed)
         };
-        let plan = if cell.scheme.uses_sip() {
-            let train: AccessIter = if spec.oram {
-                oram.stream(cfg.scale, sgx_sim::mix(seed, 0x5EC7))
-            } else {
-                spec.pair.train(cfg.scale, seed)
-            };
-            let profile = sgx_sip::profile_stream(train, cfg.epc_pages as usize);
-            sgx_sip::InstrumentationPlan::from_profile(&profile, cfg.sip)
-        } else {
-            sgx_sip::InstrumentationPlan::none()
-        };
         let (observer, obs) = ObserverSink::new();
         let observer = observer.with_enclave(cell.work.name(), PageRange::new(0, elrange.max(1)));
-        let (counting, counts) = CountingSink::new();
         let app = AppSpec::new(cell.work.name(), elrange, stream)
-            .plan(plan)
+            .plan(plan.clone())
             .build()
             .map_err(|e| fail(e.into()))?;
         let mut run = SimRun::new(cfg)
             .scheme(cell.scheme)
             .app(app)
-            .sink(Box::new(observer))
-            .sink(Box::new(counting));
+            .sink(Box::new(observer));
         if secret == SecretBit::A {
             if let Some(dir) = trace_dir {
                 if let Some(sink) = open_cell_trace(dir, index, &cell.label) {
@@ -833,7 +827,7 @@ fn run_leakage_cell(
         }
         let report = run.run_one().map_err(fail)?;
         if first.is_none() {
-            first = Some((report, counts.get()));
+            first = Some(report);
         }
         observations.push(obs.borrow().clone());
     }
@@ -844,13 +838,13 @@ fn run_leakage_cell(
         &observations[0],
         &observations[1],
     );
-    let (report, events) = first.expect("variant A ran");
+    let report = first.expect("variant A ran");
     Ok(CellReport {
         index,
         label: cell.label.clone(),
         seed,
+        events: report.events,
         report,
-        events,
         leakage: Some(leakage),
         wall_nanos: t0.elapsed().as_nanos() as u64,
     })
@@ -868,8 +862,8 @@ pub struct CellReport {
     /// The simulator's measurements. For a leakage cell, variant A's run
     /// (both variants are structurally identical; A is the reference).
     pub report: RunReport,
-    /// Per-kind paging-event tallies drained from the kernel event log.
-    /// For a leakage cell, variant A's tallies.
+    /// Per-kind paging-event tallies: a copy of `report.events`, the
+    /// kernel's own tally. For a leakage cell, variant A's tallies.
     pub events: EventCounts,
     /// What the untrusted-OS observer learned — present on leakage cells
     /// only, `null` in the JSON otherwise.

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use sgx_kernel::CycleAttribution;
+use sgx_kernel::{CycleAttribution, EventCounts};
 use sgx_sim::Cycles;
 
 use crate::Scheme;
@@ -113,6 +113,11 @@ pub struct RunReport {
     /// the whole-kernel overhead is clipped against this application's own
     /// total.
     pub attribution: CycleAttribution,
+    /// Per-kind paging-event tallies, read from the kernel. In a multi-app
+    /// run every app's report carries the shared kernel's tally; runs that
+    /// bypass the kernel (user-level paging, the outside model) carry
+    /// zeros. Not part of [`RunReport::write_json`].
+    pub events: EventCounts,
 }
 
 impl RunReport {
@@ -327,6 +332,7 @@ mod tests {
                 aex_eresume: 100,
                 ..CycleAttribution::default()
             },
+            events: EventCounts::default(),
         }
     }
 

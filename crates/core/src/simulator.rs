@@ -4,7 +4,7 @@
 use std::collections::{HashSet, VecDeque};
 
 use sgx_dfp::{NoPredictor, Predictor, ProcessId};
-use sgx_kernel::{CycleAttribution, Kernel, KernelConfig, KernelError, TraceSink};
+use sgx_kernel::{CycleAttribution, EventCounts, Kernel, KernelConfig, KernelError, TraceSink};
 use sgx_sim::Cycles;
 use sgx_sip::{profile_stream, InstrumentationPlan};
 use sgx_workloads::{AccessIter, Benchmark, InputSet};
@@ -355,6 +355,7 @@ pub(crate) fn run_kernel_apps(
     let util = kernel.channel_utilization(end);
     let fs = ks.fault_service.summary();
     let pl = ks.preload_lead.summary();
+    let events = kernel.event_counts();
     // Per-app fairness telemetry: threads share their enclave's tenant.
     let tenancy: Vec<(Cycles, u64, u64, u64)> = (0..states.len())
         .map(|i| match kernel.tenant_index(ProcessId(i as u32)) {
@@ -409,6 +410,7 @@ pub(crate) fn run_kernel_apps(
             residency_p50: res_p50,
             residency_p99: res_p99,
             attribution: kernel.attribution(s.now),
+            events,
         })
         .collect())
 }
@@ -494,6 +496,7 @@ pub(crate) fn run_outside_model(
             app_compute: now.raw(),
             ..CycleAttribution::default()
         },
+        events: EventCounts::default(),
     }
 }
 

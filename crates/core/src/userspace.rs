@@ -190,6 +190,7 @@ pub fn run_userspace_paging(
                 ..Default::default()
             }
         },
+        events: sgx_kernel::EventCounts::default(),
     }
 }
 

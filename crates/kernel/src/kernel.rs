@@ -27,8 +27,8 @@ use sgx_sim::{Cycles, FastMap, Histogram};
 
 use crate::span::SpanAlloc;
 use crate::{
-    ChaosSchedule, ChaosStats, CycleAttribution, FaultInjector, GaugeSample, PreloadQueue, SpanId,
-    TenantPolicy, TenantStats, Watermarks,
+    ChaosSchedule, ChaosStats, CycleAttribution, EventCounts, FaultInjector, GaugeSample,
+    PreloadQueue, SpanId, TenantPolicy, TenantStats, Watermarks,
 };
 
 /// Virtual-page gap between consecutive enclaves' ELRANGEs, so that no
@@ -229,6 +229,10 @@ pub enum EventKind {
 }
 
 impl EventKind {
+    /// Number of kinds: the length of a per-kind tally indexed by
+    /// `kind as usize`.
+    pub const COUNT: usize = 14;
+
     /// The kind's stable kebab-case name, as traces and exports spell it.
     pub fn name(self) -> &'static str {
         match self {
@@ -249,6 +253,9 @@ impl EventKind {
         }
     }
 }
+
+// `RunEnd` is the last kind: a new kind must grow `COUNT`.
+const _: () = assert!(EventKind::RunEnd as usize + 1 == EventKind::COUNT);
 
 impl std::fmt::Display for EventKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -592,6 +599,11 @@ pub struct Kernel {
     sample_every: u64,
     /// When the last gauge sample was emitted.
     last_sample_at: Cycles,
+    /// Events logged per kind (`kind as usize`), sinks or not: the source
+    /// of [`Kernel::event_counts`].
+    tally: [u64; EventKind::COUNT],
+    /// Queued preloads dropped, summed over the abort and valve events.
+    dropped_pages: u64,
     stats: KernelStats,
 }
 
@@ -680,6 +692,8 @@ impl Kernel {
             finished: false,
             sample_every: 0,
             last_sample_at: Cycles::ZERO,
+            tally: [0; EventKind::COUNT],
+            dropped_pages: 0,
             stats: KernelStats::new(),
         }
     }
@@ -1948,6 +1962,14 @@ impl Kernel {
         span: SpanId,
         parent: Option<SpanId>,
     ) {
+        self.tally[what as usize] += 1;
+        // Every call site passes a literal kind, so once inlined this
+        // match folds away and the two abort kinds pay one add.
+        match what {
+            EventKind::PreloadAbort => self.dropped_pages += value.unwrap_or(1),
+            EventKind::ValveStopped => self.dropped_pages += value.unwrap_or(0),
+            _ => {}
+        }
         if self.sinks.is_empty() {
             return;
         }
@@ -2023,6 +2045,13 @@ impl Kernel {
     /// Kernel statistics so far.
     pub fn stats(&self) -> &KernelStats {
         &self.stats
+    }
+
+    /// Per-kind tallies of every event this kernel has logged, whether or
+    /// not a sink is subscribed. A [`CountingSink`](crate::CountingSink)
+    /// subscribed before the first event sees the same counts.
+    pub fn event_counts(&self) -> EventCounts {
+        EventCounts::from_tally(&self.tally, self.dropped_pages)
     }
 
     /// The EPC state (read-only).
@@ -2676,22 +2705,33 @@ mod tests {
         let _ = k.page_fault(r.resume_at, PID, p(1));
         // Fault, DemandLoaded, FaultResolved (NoPredictor: no stream).
         assert_eq!(events.borrow().len(), 3);
+        // The kernel's own tally counts from construction, sinks or not.
+        let c = k.event_counts();
+        assert_eq!((c.faults, c.demand_loads, c.faults_resolved), (2, 2, 2));
+        assert_eq!(c.total(), 6);
     }
 
     #[test]
     fn counting_sink_matches_kernel_stats() {
+        let run = |k: &mut Kernel| {
+            let mut now = Cycles::ZERO;
+            for i in 0..200u64 {
+                let page = p(i % 24);
+                if k.app_access(now, PID, page).is_none() {
+                    now = k.page_fault(now, PID, page).resume_at;
+                }
+                now += Cycles::new(50);
+            }
+        };
         let mut k = kernel_with(8, Box::new(NextLinePredictor::new(3)));
         let (sink, counts) = crate::CountingSink::new();
         k.subscribe(Box::new(sink));
-        let mut now = Cycles::ZERO;
-        for i in 0..200u64 {
-            let page = p(i % 24);
-            if k.app_access(now, PID, page).is_none() {
-                now = k.page_fault(now, PID, page).resume_at;
-            }
-            now += Cycles::new(50);
-        }
+        run(&mut k);
         let c = counts.get();
+        assert_eq!(k.event_counts(), c, "tally matches the stream");
+        let mut bare = kernel_with(8, Box::new(NextLinePredictor::new(3)));
+        run(&mut bare);
+        assert_eq!(bare.event_counts(), c, "sink-free tally is the same");
         let s = k.stats();
         assert_eq!(c.faults, s.faults);
         assert_eq!(c.preload_aborts, s.preloads_aborted);
@@ -2865,6 +2905,7 @@ mod tests {
         );
         let c = counts.get();
         assert_eq!(c.valve_stops, 1, "the latch absorbs further flaps");
+        assert_eq!(k.event_counts(), c);
         assert_eq!(c.preload_starts, 0);
         assert_eq!(k.chaos_stats().unwrap().valve_trips, 1);
         // Stats reconcile with the stream under injection.
@@ -2936,6 +2977,7 @@ mod tests {
         let (sink, counts) = crate::CountingSink::new();
         k.subscribe(Box::new(sink));
         drive(&mut k, 60, 11, 4096);
+        assert_eq!(k.event_counts(), counts.get());
         let cs = *k.chaos_stats().unwrap();
         assert!(cs.spurious_pages > 0, "storms fired");
         // Storm pages become ordinary queued preloads: started or aborted
@@ -2960,6 +3002,7 @@ mod tests {
         k.subscribe(Box::new(sink));
         drive(&mut k, 500, 3, 128);
         let c = counts.get();
+        assert_eq!(k.event_counts(), c);
         let s = k.stats();
         assert_eq!(c.faults, s.faults);
         assert_eq!(c.faults_resolved, s.faults);

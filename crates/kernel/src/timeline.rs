@@ -182,7 +182,7 @@ fn push_u64(buf: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Appends `key` and then `v` in decimal.
-fn field(buf: &mut Vec<u8>, key: &[u8], v: u64) {
+pub(crate) fn field(buf: &mut Vec<u8>, key: &[u8], v: u64) {
     buf.extend_from_slice(key);
     push_u64(buf, v);
 }

@@ -22,6 +22,7 @@ use std::rc::Rc;
 
 use sgx_sim::{Cycles, Histogram};
 
+use crate::timeline::field;
 use crate::{EventKind, GaugeSample, LoggedEvent};
 
 /// A streaming consumer of kernel paging events.
@@ -48,8 +49,9 @@ impl<F: FnMut(&LoggedEvent)> TraceSink for F {
     }
 }
 
-/// Per-kind tallies of the kernel's paging events — the event-level
-/// telemetry a campaign cell derives from a [`CountingSink`].
+/// Per-kind tallies of the kernel's paging events. The kernel keeps them
+/// itself ([`Kernel::event_counts`](crate::Kernel::event_counts)); a
+/// [`CountingSink`] rebuilds the same tallies from the event stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventCounts {
     /// Page faults (AEX entries).
@@ -85,6 +87,28 @@ pub struct EventCounts {
 }
 
 impl EventCounts {
+    /// Reads a per-kind occurrence tally (indexed by `kind as usize`) plus
+    /// the dropped-page sum that `preload_aborts` reports.
+    pub(crate) fn from_tally(t: &[u64; EventKind::COUNT], dropped_pages: u64) -> Self {
+        let n = |k: EventKind| t[k as usize];
+        EventCounts {
+            faults: n(EventKind::Fault),
+            demand_loads: n(EventKind::DemandLoaded),
+            preload_starts: n(EventKind::PreloadStart),
+            preload_dones: n(EventKind::PreloadDone),
+            background_evictions: n(EventKind::EvictBackground),
+            foreground_evictions: n(EventKind::EvictForeground),
+            preload_aborts: dropped_pages,
+            sip_loads: n(EventKind::SipLoaded),
+            valve_stops: n(EventKind::ValveStopped),
+            sip_prefetch_starts: n(EventKind::SipPrefetchStart),
+            faults_resolved: n(EventKind::FaultResolved),
+            preload_hits: n(EventKind::PreloadHit),
+            stream_predictions: n(EventKind::StreamPredicted),
+            run_ends: n(EventKind::RunEnd),
+        }
+    }
+
     /// Tallies one event of `kind`, weighted as a single occurrence.
     pub fn bump(&mut self, kind: EventKind) {
         self.bump_by(kind, 1);
@@ -366,6 +390,8 @@ pub struct JsonlWriterSink<W: Write> {
     out: Option<W>,
     failed: bool,
     written: u64,
+    /// The line being formatted, reused across events.
+    line: Vec<u8>,
 }
 
 impl JsonlWriterSink<BufWriter<File>> {
@@ -387,6 +413,7 @@ impl<W: Write> JsonlWriterSink<W> {
             out: Some(out),
             failed: false,
             written: 0,
+            line: Vec::with_capacity(128),
         }
     }
 
@@ -420,24 +447,24 @@ impl<W: Write> TraceSink for JsonlWriterSink<W> {
         let Some(out) = self.out.as_mut() else {
             return;
         };
-        let mut line = String::with_capacity(96);
-        line.push_str(&format!(
-            "{{\"at\":{},\"kind\":\"{}\"",
-            event.at.raw(),
-            event.what
-        ));
+        let line = &mut self.line;
+        line.clear();
+        field(line, b"{\"at\":", event.at.raw());
+        line.extend_from_slice(b",\"kind\":\"");
+        line.extend_from_slice(event.what.name().as_bytes());
+        line.push(b'"');
         if let Some(p) = event.page {
-            line.push_str(&format!(",\"page\":{}", p.raw()));
+            field(line, b",\"page\":", p.raw());
         }
         if let Some(v) = event.value {
-            line.push_str(&format!(",\"value\":{v}"));
+            field(line, b",\"value\":", v);
         }
-        line.push_str(&format!(",\"span\":{}", event.span.raw()));
+        field(line, b",\"span\":", event.span.raw());
         if let Some(p) = event.parent {
-            line.push_str(&format!(",\"parent\":{}", p.raw()));
+            field(line, b",\"parent\":", p.raw());
         }
-        line.push_str("}\n");
-        if out.write_all(line.as_bytes()).is_err() {
+        line.extend_from_slice(b"}\n");
+        if out.write_all(line).is_err() {
             self.failed = true;
             return;
         }

@@ -14,10 +14,11 @@
 //! SIP instruments the sites whose Class-3 share exceeds a threshold and,
 //! in the hybrid scheme, leaves Class-2 traffic to DFP.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use sgx_dfp::{StreamConfig, StreamList};
 use sgx_epc::VirtPage;
+use sgx_sim::FastMap;
 
 /// The access classes of paper §4.4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,8 +38,47 @@ pub enum AccessClass {
 pub struct LruSet {
     cap: usize,
     stamp: u64,
-    live: HashMap<VirtPage, u64>,
+    live: Stamps,
     order: VecDeque<(VirtPage, u64)>,
+}
+
+/// The last-touch stamp of every live page. [`FastMap`] reserves the key
+/// `u64::MAX`, so that one page keeps its stamp in a side slot.
+#[derive(Debug, Clone, Default)]
+struct Stamps {
+    map: FastMap,
+    max_page: Option<u64>,
+}
+
+impl Stamps {
+    fn get(&self, page: VirtPage) -> Option<u64> {
+        match page.raw() {
+            u64::MAX => self.max_page,
+            p => self.map.get(p),
+        }
+    }
+
+    fn set(&mut self, page: VirtPage, stamp: u64) {
+        match page.raw() {
+            u64::MAX => self.max_page = Some(stamp),
+            p => {
+                self.map.insert(p, stamp);
+            }
+        }
+    }
+
+    fn remove(&mut self, page: VirtPage) {
+        match page.raw() {
+            u64::MAX => self.max_page = None,
+            p => {
+                self.map.remove(p);
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.map.len() + usize::from(self.max_page.is_some())
+    }
 }
 
 impl LruSet {
@@ -52,14 +92,14 @@ impl LruSet {
         LruSet {
             cap,
             stamp: 0,
-            live: HashMap::new(),
+            live: Stamps::default(),
             order: VecDeque::new(),
         }
     }
 
     /// Whether `page` is among the `cap` most recently touched pages.
     pub fn contains(&self, page: VirtPage) -> bool {
-        self.live.contains_key(&page)
+        self.live.get(page).is_some()
     }
 
     /// Number of pages retained.
@@ -69,25 +109,25 @@ impl LruSet {
 
     /// `true` when nothing is retained.
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.live.len() == 0
     }
 
     /// Marks `page` as just-touched.
     pub fn touch(&mut self, page: VirtPage) {
         self.stamp += 1;
-        self.live.insert(page, self.stamp);
+        self.live.set(page, self.stamp);
         self.order.push_back((page, self.stamp));
         while self.live.len() > self.cap {
             // Lazy deletion: skip stale queue entries for re-touched pages.
             let (p, s) = self.order.pop_front().expect("live non-empty => queued");
-            if self.live.get(&p) == Some(&s) {
-                self.live.remove(&p);
+            if self.live.get(p) == Some(s) {
+                self.live.remove(p);
             }
         }
         // Bound queue growth from re-touches.
         if self.order.len() > self.cap * 4 {
             let live = &self.live;
-            self.order.retain(|(p, s)| live.get(p) == Some(s));
+            self.order.retain(|&(p, s)| live.get(p) == Some(s));
         }
     }
 }
@@ -110,6 +150,8 @@ impl LruSet {
 pub struct Classifier {
     recent: LruSet,
     streams: StreamList,
+    /// Scratch for the stream detector's prediction, reused per access.
+    predicted: Vec<VirtPage>,
 }
 
 impl Classifier {
@@ -124,6 +166,7 @@ impl Classifier {
         Classifier {
             recent: LruSet::new(epc_proxy_pages),
             streams: StreamList::new(cfg),
+            predicted: Vec::new(),
         }
     }
 
@@ -133,10 +176,11 @@ impl Classifier {
             AccessClass::Class1
         } else {
             // Not recently touched: would fault. Stream detection decides
-            // whether DFP would have covered it. `on_fault` both tests and
+            // whether DFP would have covered it. `on_fault_into` both tests and
             // learns, exactly as the kernel-side Algorithm 1 does.
-            let followed_stream = !self.streams.on_fault(page).is_empty();
-            if followed_stream {
+            self.predicted.clear();
+            self.streams.on_fault_into(page, &mut self.predicted);
+            if !self.predicted.is_empty() {
                 AccessClass::Class2
             } else {
                 AccessClass::Class3

@@ -9,8 +9,9 @@
 //! "source line" is the workload's [`SiteId`], and the output is an
 //! [`InstrumentationPlan`] the simulator consults at run time.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
+use sgx_sim::{FastMap, FastSet};
 use sgx_workloads::{Access, SiteId};
 
 use crate::{AccessClass, Classifier};
@@ -119,19 +120,35 @@ impl Profile {
 /// ```
 pub fn profile_stream(stream: impl Iterator<Item = Access>, epc_proxy_pages: usize) -> Profile {
     let mut classifier = Classifier::new(epc_proxy_pages);
-    let mut profile = Profile::default();
+    // Sites in first-seen order, found through a site -> row map; sorted
+    // into the profile's map once at the end.
+    let mut row_of = FastMap::new();
+    let mut rows: Vec<(SiteId, SiteProfile)> = Vec::new();
+    let mut total_events = 0;
     for access in stream {
         let class = classifier.classify(access.page);
-        let entry = profile.sites.entry(access.site).or_default();
+        let site = u64::from(access.site.0);
+        let row = match row_of.get(site) {
+            Some(row) => row as usize,
+            None => {
+                row_of.insert(site, rows.len() as u64);
+                rows.push((access.site, SiteProfile::default()));
+                rows.len() - 1
+            }
+        };
+        let entry = &mut rows[row].1;
         match class {
             AccessClass::Class1 => entry.class1 += 1,
             AccessClass::Class2 => entry.class2 += 1,
             AccessClass::Class3 => entry.class3 += 1,
         }
         entry.executions += access.repeats as u64;
-        profile.total_events += 1;
+        total_events += 1;
     }
-    profile
+    Profile {
+        sites: rows.into_iter().collect(),
+        total_events,
+    }
 }
 
 /// SIP's instrumentation-selection policy.
@@ -180,7 +197,10 @@ pub const NOTIFY_FUNCTION_LOC: u64 = 23;
 /// The compiler's output: which sites carry a preloading notification.
 #[derive(Debug, Clone, Default)]
 pub struct InstrumentationPlan {
-    sites: HashSet<SiteId>,
+    /// The instrumented sites, ascending.
+    sites: Vec<SiteId>,
+    /// The same sites, for the per-access membership test.
+    lookup: FastSet,
 }
 
 impl InstrumentationPlan {
@@ -191,7 +211,9 @@ impl InstrumentationPlan {
 
     /// Selects instrumentation points from a profile under `cfg`.
     pub fn from_profile(profile: &Profile, cfg: SipConfig) -> Self {
-        let mut sites = HashSet::new();
+        // `profile.sites()` is ascending, so `sites` is born sorted.
+        let mut sites = Vec::new();
+        let mut lookup = FastSet::new();
         for (id, s) in profile.sites() {
             if s.irregular_ratio() <= cfg.threshold {
                 continue;
@@ -202,15 +224,16 @@ impl InstrumentationPlan {
                     continue; // majority Class 2: DFP covers it
                 }
             }
-            sites.insert(id);
+            sites.push(id);
+            lookup.insert(u64::from(id.0));
         }
-        InstrumentationPlan { sites }
+        InstrumentationPlan { sites, lookup }
     }
 
     /// Whether `site` carries a notification (checked on every execution).
     #[inline]
     pub fn is_instrumented(&self, site: SiteId) -> bool {
-        self.sites.contains(&site)
+        self.lookup.contains(u64::from(site.0))
     }
 
     /// Number of instrumentation points — the paper's Table 2.
@@ -225,9 +248,7 @@ impl InstrumentationPlan {
 
     /// The instrumented sites, ascending.
     pub fn sites(&self) -> Vec<SiteId> {
-        let mut v: Vec<SiteId> = self.sites.iter().copied().collect();
-        v.sort_unstable();
-        v
+        self.sites.clone()
     }
 
     /// TCB growth estimate: the fixed notification function plus roughly
@@ -337,9 +358,13 @@ mod tests {
 
     #[test]
     fn tcb_estimate_scales_with_points() {
-        let mut plan = InstrumentationPlan::none();
-        plan.sites.insert(SiteId(1));
-        plan.sites.insert(SiteId(2));
+        let mut lookup = FastSet::new();
+        lookup.insert(1);
+        lookup.insert(2);
+        let plan = InstrumentationPlan {
+            sites: vec![SiteId(1), SiteId(2)],
+            lookup,
+        };
         assert_eq!(plan.tcb_loc_estimate(), NOTIFY_FUNCTION_LOC + 6);
     }
 

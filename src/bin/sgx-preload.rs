@@ -289,10 +289,11 @@ impl Args {
             None | Some("dev") => Ok(Scale::DEV),
             Some("quarter") => Ok(Scale::QUARTER),
             Some("full") => Ok(Scale::FULL),
-            Some(n) => n
-                .parse::<u64>()
-                .map(Scale::new)
-                .map_err(|_| format!("invalid --scale {n:?}")),
+            Some(n) => match n.parse::<u64>() {
+                Ok(0) => Err("--scale must be positive".into()),
+                Ok(divisor) => Ok(Scale::new(divisor)),
+                Err(_) => Err(format!("invalid --scale {n:?}")),
+            },
         }
     }
 
@@ -361,9 +362,15 @@ impl Args {
         }
         let mut stream = StreamConfig::paper_defaults();
         if let Some(ll) = self.parsed::<u64>("load-length")? {
+            if ll == 0 {
+                return Err("--load-length must be positive".into());
+            }
             stream = stream.with_load_length(ll);
         }
         if let Some(len) = self.parsed::<usize>("list-len")? {
+            if len == 0 {
+                return Err("--list-len must be positive".into());
+            }
             stream = stream.with_list_len(len);
         }
         cfg = cfg.with_stream(stream);

@@ -87,6 +87,8 @@ fn battery_every_workload_scheme_and_schedule_degrades_gracefully() {
                 // The workload itself is untouched: same accesses, and
                 // the run terminated (or we would not be here).
                 assert_eq!(r.accesses, clean.accesses, "{ctx}: accesses");
+                // The kernel's own tally equals the stream's, field for field.
+                assert_eq!(r.events, ev, "{ctx}: kernel tally");
                 // Accounting: stats must equal the stream reconstruction.
                 assert_eq!(ev.faults, r.faults, "{ctx}: faults");
                 assert_eq!(ev.faults_resolved, r.faults, "{ctx}: resolutions");

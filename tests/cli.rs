@@ -403,3 +403,46 @@ fn helpful_errors() {
     assert!(run_err(&[]).contains("USAGE"));
     assert!(run_err(&["run", "--bench", "lbm", "--threshold", "7"]).contains("must be in [0, 1]"));
 }
+
+/// Zero values that would trip a constructor's assertion are rejected at
+/// flag parsing: exit 1 with an error naming the flag, never a panic.
+#[test]
+fn zero_sizes_are_flag_errors_not_panics() {
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &["run", "--bench", "microbenchmark", "--scale", "0"],
+            "--scale must be positive",
+        ),
+        (&["leakage", "--scale", "0"], "--scale must be positive"),
+        (
+            &[
+                "run",
+                "--bench",
+                "lbm",
+                "--scheme",
+                "dfp",
+                "--load-length",
+                "0",
+            ],
+            "--load-length must be positive",
+        ),
+        (
+            &[
+                "run",
+                "--bench",
+                "lbm",
+                "--scheme",
+                "dfp",
+                "--list-len",
+                "0",
+            ],
+            "--list-len must be positive",
+        ),
+    ];
+    for (args, want) in cases {
+        let out = cli().args(args).output().expect("spawn sgx-preload");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(want), "{args:?}: {stderr}");
+    }
+}

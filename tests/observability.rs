@@ -20,7 +20,8 @@ const KERNEL_SCHEMES: [Scheme; 5] = [
 /// The acceptance bar for the sink layer: on every benchmark × kernel
 /// scheme, the tallies a `CountingSink` reconstructs from the event stream
 /// must match the counters the simulator reports — nothing is emitted
-/// twice, nothing is dropped.
+/// twice, nothing is dropped — and the kernel's own tally in
+/// `RunReport::events`, field for field.
 #[test]
 fn counting_sink_matches_report_counters_on_every_workload() {
     let c = cfg();
@@ -35,6 +36,7 @@ fn counting_sink_matches_report_counters_on_every_workload() {
                 .unwrap();
             let ev = counts.get();
             let ctx = format!("{}/{}", bench.name(), scheme.name());
+            assert_eq!(r.events, ev, "{ctx}: kernel tally");
             assert_eq!(ev.faults, r.faults, "{ctx}: faults");
             assert_eq!(ev.faults_resolved, r.faults, "{ctx}: every fault resolves");
             assert_eq!(ev.preload_starts, r.preloads_started, "{ctx}: preloads");
@@ -271,10 +273,18 @@ fn per_enclave_event_counts_match_tenant_stats_under_contention_and_chaos() {
         }
 
         let mut per = vec![EventCounts::default(); 3];
+        let mut all = EventCounts::default();
         for e in events.borrow().iter() {
+            all.record(e);
             let page = e.page.expect("every event of a DFP run names a page");
             per[(page.raw() >> STRIDE_SHIFT) as usize].record(e);
         }
+        assert_eq!(
+            k.event_counts(),
+            all,
+            "chaos={}: kernel tally",
+            chaos.is_some()
+        );
         for (i, counts) in per.iter().enumerate() {
             let ts = k.tenant_stats(i);
             let ctx = format!("enclave {i}, chaos={}", chaos.is_some());
@@ -321,12 +331,15 @@ fn stream_partition_agrees_with_per_app_reports_on_contention() {
         .run()
         .unwrap();
     let mut per = vec![EventCounts::default(); 3];
+    let mut all = EventCounts::default();
     for e in events.borrow().iter() {
+        all.record(e);
         if let Some(page) = e.page {
             per[(page.raw() >> 24) as usize].record(e);
         }
     }
     for (i, r) in reports.iter().enumerate() {
+        assert_eq!(r.events, all, "app {i}: the shared kernel's tally");
         assert_eq!(per[i].faults, r.faults, "app {i}: faults");
         assert_eq!(per[i].faults_resolved, r.faults, "app {i}: resolutions");
     }

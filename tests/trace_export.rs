@@ -4,6 +4,8 @@
 //!   renderer byte for byte on seeded random event streams, including
 //!   dangling parents, closes before opens, duplicate closes, extreme
 //!   values and documents that straddle the output chunk boundary.
+//! - The JSON-lines sink equals a `format!`-based reference line for line
+//!   on the same random and edge-case streams.
 //! - Writer failures surface as errors from `finish`, never as panics.
 //! - The gauge series' CSV and JSON layouts are pinned as literal text.
 
@@ -13,8 +15,8 @@ use std::io::{self, Write};
 
 use sgx_preloading::kernel::{EventKind, LoggedEvent};
 use sgx_preloading::{
-    render_chrome_trace, write_chrome_trace, ChromeTraceSink, Cycles, GaugeSample, SeriesFormat,
-    SpanId, TimeSeriesSink, TraceSink, VirtPage,
+    render_chrome_trace, write_chrome_trace, ChromeTraceSink, Cycles, GaugeSample, JsonlWriterSink,
+    SeriesFormat, SpanId, TimeSeriesSink, TraceSink, VirtPage,
 };
 
 const ALL_KINDS: [EventKind; 14] = [
@@ -249,9 +251,9 @@ fn renderer_matches_the_reference_on_random_streams() {
     }
 }
 
-#[test]
-fn renderer_matches_the_reference_on_edge_cases() {
-    let edge = [
+/// Hand-built corner cases shared by the Chrome and JSON-lines checks.
+fn edge_stream() -> Vec<LoggedEvent> {
+    vec![
         // Close before open, then a duplicate close; the open's duration
         // saturates at zero.
         ev(50, EventKind::FaultResolved, 1, None),
@@ -278,10 +280,52 @@ fn renderer_matches_the_reference_on_edge_cases() {
             span: SpanId::new(0),
             parent: None,
         },
-    ];
+    ]
+}
+
+#[test]
+fn renderer_matches_the_reference_on_edge_cases() {
+    let edge = edge_stream();
     let got = render_chrome_trace(&edge);
     assert_same(got.as_bytes(), &reference_render(&edge), "edge cases");
     assert_eq!(render_chrome_trace(&[]), reference_render(&[]));
+}
+
+/// One JSON-lines record per event, written with `format!`: the reference
+/// the streaming sink must match byte for byte.
+fn reference_jsonl(events: &[LoggedEvent]) -> String {
+    let mut out = String::new();
+    for e in events {
+        out.push_str(&format!("{{\"at\":{},\"kind\":\"{}\"", e.at.raw(), e.what));
+        if let Some(p) = e.page {
+            out.push_str(&format!(",\"page\":{}", p.raw()));
+        }
+        if let Some(v) = e.value {
+            out.push_str(&format!(",\"value\":{v}"));
+        }
+        out.push_str(&format!(",\"span\":{}", e.span.raw()));
+        if let Some(p) = e.parent {
+            out.push_str(&format!(",\"parent\":{}", p.raw()));
+        }
+        out.push_str("}\n");
+    }
+    out
+}
+
+#[test]
+fn jsonl_sink_matches_the_format_reference() {
+    let mut streams = vec![("edge cases".to_string(), edge_stream())];
+    for seed in 0..16u64 {
+        streams.push((format!("seed {seed}"), random_stream(seed, 300)));
+    }
+    for (context, events) in streams {
+        let mut sink = JsonlWriterSink::new(Vec::new());
+        for e in &events {
+            sink.on_event(e);
+        }
+        assert_eq!(sink.written(), events.len() as u64, "{context}");
+        assert_same(&sink.into_inner(), &reference_jsonl(&events), &context);
+    }
 }
 
 /// Records the size of every `write` call it receives.
