@@ -261,6 +261,18 @@ for c in cells:
 print(f"paper campaign OK: {len(cells)} cells reconcile with their tallies")
 EOF
 cmp "$TRACE_DIR/paper_j1.canonical.json" "$TRACE_DIR/paper_j4.canonical.json"
+# The grid is pinned, not only consistent with itself: the canonical dump
+# must hash to the digest recorded in tests/golden/.
+python3 - "$TRACE_DIR" <<'EOF'
+import hashlib, sys
+
+with open(f"{sys.argv[1]}/paper_j1.canonical.json", "rb") as f:
+    got = hashlib.sha256(f.read()).hexdigest()
+with open("tests/golden/campaign_paper_s16.sha256") as f:
+    want = f.read().split()[0]
+assert got == want, f"scale-16 paper grid drifted: sha256 {got}, pinned {want}"
+print(f"paper campaign pinned: sha256 {got[:16]}...")
+EOF
 
 echo "==> leakage observatory"
 # The untrusted-OS leakage grid: all three secret pairs under the

@@ -3,7 +3,7 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use sgx_dfp::{NoPredictor, Predictor, ProcessId};
+use sgx_dfp::{NoPredictor, Predictor, PredictorKind, ProcessId};
 use sgx_kernel::{CycleAttribution, EventCounts, Kernel, KernelConfig, KernelError, TraceSink};
 use sgx_sim::Cycles;
 use sgx_sip::{profile_stream, InstrumentationPlan};
@@ -190,8 +190,13 @@ fn make_predictor(cfg: &SimConfig, scheme: Scheme) -> Box<dyn Predictor> {
 /// # Errors
 ///
 /// [`KernelError`] when the configuration is unbuildable (e.g. zero EPC
-/// pages).
+/// pages, or a zero stream-list length or `LOADLENGTH` under a DFP
+/// scheme).
 pub fn build_kernel(cfg: &SimConfig, scheme: Scheme) -> Result<Kernel, KernelError> {
+    // The multi-stream predictor would panic on its first fault.
+    if scheme.uses_dfp() && cfg.predictor == PredictorKind::MultiStream {
+        cfg.stream.validate()?;
+    }
     let mut kcfg = KernelConfig::new(cfg.epc_pages).with_costs(cfg.costs);
     if scheme.uses_valve() {
         kcfg = kcfg.with_abort_policy(cfg.abort);

@@ -51,4 +51,4 @@ pub use baselines::{
 };
 pub use kind::{ParsePredictorKindError, PredictorKind};
 pub use predictor::{NoPredictor, Prediction, Predictor, ProcessId};
-pub use stream::{Direction, MultiStreamPredictor, StreamConfig, StreamList};
+pub use stream::{MultiStreamPredictor, StreamConfig, StreamConfigError, StreamList};

@@ -24,21 +24,13 @@
 //! Algorithm 1 passes a `direction`; descending streams (backward scans) are
 //! recognized when [`StreamConfig::backward`] is set.
 
-use std::collections::VecDeque;
+use std::error::Error;
+use std::fmt;
 
 use sgx_epc::VirtPage;
 use sgx_sim::Cycles;
 
 use crate::{Prediction, Predictor, ProcessId};
-
-/// Direction of a detected stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Ascending page numbers.
-    Forward,
-    /// Descending page numbers.
-    Backward,
-}
 
 /// Tuning parameters of the multiple-stream predictor.
 ///
@@ -65,6 +57,21 @@ impl StreamConfig {
             load_length: 4,
             match_window: 0,
             backward: true,
+        }
+    }
+
+    /// Checks that Algorithm 1 can run with this configuration.
+    ///
+    /// # Errors
+    ///
+    /// [`StreamConfigError`] when `list_len` or `load_length` is zero.
+    pub fn validate(&self) -> Result<(), StreamConfigError> {
+        if self.list_len == 0 {
+            Err(StreamConfigError::EmptyList)
+        } else if self.load_length == 0 {
+            Err(StreamConfigError::ZeroLoadLength)
+        } else {
+            Ok(())
         }
     }
 
@@ -108,19 +115,37 @@ impl Default for StreamConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct StreamEntry {
-    /// Stream tail page number — the most recent fault in this stream.
-    stpn: VirtPage,
-    dir: Direction,
+/// A [`StreamConfig`] Algorithm 1 cannot run with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StreamConfigError {
+    /// `list_len == 0`: no stream can be tracked.
+    EmptyList,
+    /// `load_length == 0`: a matched stream would preload nothing.
+    ZeroLoadLength,
 }
 
+impl fmt::Display for StreamConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            StreamConfigError::EmptyList => "stream_list length must be positive",
+            StreamConfigError::ZeroLoadLength => "LOADLENGTH must be positive",
+        })
+    }
+}
+
+impl Error for StreamConfigError {}
+
 /// One process's `stream_list`: the core of Algorithm 1.
+///
+/// The list is a flat table of stream tail page numbers (`stpn`), most
+/// recently used first. A stream's direction is not stored: for a given
+/// tail it follows from which side of the tail the fault lands, so the
+/// match test derives it.
 #[derive(Debug, Clone)]
 pub struct StreamList {
     cfg: StreamConfig,
-    /// Front = most recently used.
-    entries: VecDeque<StreamEntry>,
+    /// Stream tails in MRU order; never longer than `cfg.list_len`.
+    tails: Vec<u64>,
     matches: u64,
     misses: u64,
 }
@@ -130,13 +155,15 @@ impl StreamList {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.list_len == 0` or `cfg.load_length == 0`.
+    /// Panics if `cfg.list_len == 0` or `cfg.load_length == 0`; see
+    /// [`StreamConfig::validate`] for the checked form.
     pub fn new(cfg: StreamConfig) -> Self {
-        assert!(cfg.list_len > 0, "stream_list length must be positive");
-        assert!(cfg.load_length > 0, "LOADLENGTH must be positive");
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         StreamList {
             cfg,
-            entries: VecDeque::with_capacity(cfg.list_len),
+            tails: Vec::with_capacity(cfg.list_len),
             matches: 0,
             misses: 0,
         }
@@ -149,12 +176,12 @@ impl StreamList {
 
     /// Number of streams currently tracked (≤ `list_len`).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.tails.len()
     }
 
     /// `true` when no streams are tracked.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.tails.is_empty()
     }
 
     /// Faults that extended an existing stream.
@@ -165,20 +192,6 @@ impl StreamList {
     /// Faults that started a new stream.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    fn detect(&self, entry: &StreamEntry, npn: VirtPage) -> Option<Direction> {
-        let w = self.cfg.window();
-        if npn.within_forward_window(entry.stpn, w) {
-            Some(Direction::Forward)
-        } else if self.cfg.backward
-            && npn.raw() < entry.stpn.raw()
-            && entry.stpn.raw() - npn.raw() <= w
-        {
-            Some(Direction::Backward)
-        } else {
-            None
-        }
     }
 
     /// Algorithm 1: processes fault `npn`, returns the pages to preload.
@@ -195,46 +208,47 @@ impl StreamList {
 
     /// Allocation-free form of [`StreamList::on_fault`]: appends the pages
     /// to preload to `out` (in the same order `on_fault` returns them).
+    ///
+    /// Predictions stop at the ends of the address space: a forward
+    /// stream never predicts past page `u64::MAX`, a backward one never
+    /// below page 0.
     pub fn on_fault_into(&mut self, npn: VirtPage, out: &mut Vec<VirtPage>) {
+        let npn = npn.raw();
+        // `stpn` matches when `1 ≤ |npn − stpn| ≤ window` and the fault
+        // lies ahead of it, or behind it with backward detection on. The
+        // `− 1` wraps a distance of 0 to `u64::MAX`, which no window
+        // admits. The first match in MRU order wins.
+        let (w, backward) = (self.cfg.window(), self.cfg.backward);
         let hit = self
-            .entries
+            .tails
             .iter()
-            .enumerate()
-            .find_map(|(i, e)| self.detect(e, npn).map(|d| (i, d)));
+            .position(|&stpn| (npn.abs_diff(stpn).wrapping_sub(1) < w) & (backward | (npn > stpn)));
         match hit {
-            Some((i, dir)) => {
+            Some(i) => {
                 self.matches += 1;
-                let mut e = self.entries.remove(i).expect("index from enumerate");
-                e.stpn = npn;
-                e.dir = dir;
-                self.entries.push_front(e);
-                for k in 1..=self.cfg.load_length {
-                    match dir {
-                        Direction::Forward => out.push(npn.offset(k)),
-                        Direction::Backward => {
-                            if npn.raw() >= k {
-                                out.push(VirtPage::new(npn.raw() - k));
-                            }
-                        }
-                    }
+                let forward = npn > self.tails[i];
+                self.tails[..=i].rotate_right(1);
+                self.tails[0] = npn;
+                let n = self.cfg.load_length;
+                if forward {
+                    let n = n.min(u64::MAX - npn);
+                    out.extend((1..=n).map(|k| VirtPage::new(npn + k)));
+                } else {
+                    let n = n.min(npn);
+                    out.extend((1..=n).map(|k| VirtPage::new(npn - k)));
                 }
             }
             None => {
                 self.misses += 1;
-                if self.entries.len() == self.cfg.list_len {
-                    self.entries.pop_back();
-                }
-                self.entries.push_front(StreamEntry {
-                    stpn: npn,
-                    dir: Direction::Forward,
-                });
+                self.tails.truncate(self.cfg.list_len - 1);
+                self.tails.insert(0, npn);
             }
         }
     }
 
     /// Clears all tracked streams and statistics.
     pub fn reset(&mut self) {
-        self.entries.clear();
+        self.tails.clear();
         self.matches = 0;
         self.misses = 0;
     }
@@ -486,6 +500,44 @@ mod tests {
         m.reset();
         assert_eq!(m.total_matches(), 0);
         assert!(m.on_fault(Cycles::ZERO, ProcessId(1), p(12)).is_empty());
+    }
+
+    #[test]
+    fn forward_prediction_clamps_at_the_top_page() {
+        let mut s = list(StreamConfig::paper_defaults());
+        s.on_fault(p(u64::MAX - 3));
+        let pred = s.on_fault(p(u64::MAX - 2));
+        // Only pages MAX-1 and MAX exist above MAX-2.
+        assert_eq!(pred.pages, pages(&[u64::MAX - 1, u64::MAX]));
+        assert!(s.on_fault(p(u64::MAX)).is_empty());
+        assert_eq!(s.matches(), 2);
+    }
+
+    #[test]
+    fn no_stream_wraps_around_the_address_space() {
+        let mut s = list(StreamConfig::paper_defaults().with_match_window(u64::MAX));
+        s.on_fault(p(u64::MAX));
+        // Page 0 lies behind page MAX, never ahead of it.
+        assert_eq!(s.on_fault(p(0)).pages, Vec::<VirtPage>::new());
+        assert_eq!(s.matches(), 1);
+        let mut s = list(StreamConfig::paper_defaults().with_backward(false));
+        s.on_fault(p(u64::MAX));
+        assert!(s.on_fault(p(0)).is_empty());
+        assert_eq!(s.misses(), 2);
+    }
+
+    #[test]
+    fn validate_names_the_degenerate_field() {
+        let cfg = StreamConfig::paper_defaults();
+        assert_eq!(cfg.validate(), Ok(()));
+        assert_eq!(
+            cfg.with_list_len(0).validate(),
+            Err(StreamConfigError::EmptyList)
+        );
+        assert_eq!(
+            cfg.with_load_length(0).validate(),
+            Err(StreamConfigError::ZeroLoadLength)
+        );
     }
 
     #[test]

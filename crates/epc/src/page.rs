@@ -82,14 +82,6 @@ impl VirtPage {
         self.0.abs_diff(other.0)
     }
 
-    /// `true` when `self` lies in `(after, after + window]` — the windowed
-    /// "is sequential to" test used by the stream predictor (see
-    /// `sgx-dfp`).
-    #[inline]
-    pub fn within_forward_window(self, after: VirtPage, window: u64) -> bool {
-        self.0 > after.0 && self.0 - after.0 <= window
-    }
-
     /// The first byte address of this page.
     #[inline]
     pub fn base_address(self) -> u64 {
@@ -136,16 +128,6 @@ mod tests {
         assert!(!VirtPage::new(6).follows(VirtPage::new(7)));
         // No wraparound at the top of the address space.
         assert!(!VirtPage::new(0).follows(VirtPage::new(u64::MAX)));
-    }
-
-    #[test]
-    fn forward_window_semantics() {
-        let base = VirtPage::new(100);
-        assert!(!base.within_forward_window(base, 4));
-        assert!(VirtPage::new(101).within_forward_window(base, 4));
-        assert!(VirtPage::new(104).within_forward_window(base, 4));
-        assert!(!VirtPage::new(105).within_forward_window(base, 4));
-        assert!(!VirtPage::new(99).within_forward_window(base, 4));
     }
 
     #[test]

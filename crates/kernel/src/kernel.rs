@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use sgx_dfp::{AbortPolicy, AbortValve, Predictor, ProcessId};
+use sgx_dfp::{AbortPolicy, AbortValve, Predictor, ProcessId, StreamConfigError};
 use sgx_epc::{
     CostModel, Epc, EpcSizing, LoadOrigin, PresenceBitmap, TouchOutcome, VictimPolicy, VirtPage,
 };
@@ -137,6 +137,8 @@ pub enum KernelError {
     NoEpc,
     /// `register_thread` named an owner with no registered enclave.
     UnknownOwner(ProcessId),
+    /// The multi-stream predictor's configuration is degenerate.
+    Stream(StreamConfigError),
 }
 
 impl fmt::Display for KernelError {
@@ -153,11 +155,18 @@ impl fmt::Display for KernelError {
             KernelError::UnknownOwner(pid) => {
                 write!(f, "{pid} has no enclave to attach a thread to")
             }
+            KernelError::Stream(e) => write!(f, "bad stream configuration: {e}"),
         }
     }
 }
 
 impl Error for KernelError {}
+
+impl From<StreamConfigError> for KernelError {
+    fn from(e: StreamConfigError) -> Self {
+        KernelError::Stream(e)
+    }
+}
 
 /// One streamed paging event, delivered to every subscribed
 /// [`TraceSink`](crate::TraceSink): the raw material of the paper's

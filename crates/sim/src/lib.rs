@@ -44,6 +44,6 @@ pub use cycles::Cycles;
 pub use fastmap::{FastMap, FastSet};
 pub use queue::EventQueue;
 pub use resource::{Grant, Resource};
-pub use rng::{mix, DetRng};
+pub use rng::{mix, DetRng, Zipf};
 pub use slab::Slab;
 pub use stats::{Counter, Histogram, HistogramSummary};

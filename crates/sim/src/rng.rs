@@ -121,49 +121,14 @@ impl DetRng {
     }
 
     /// Zipf-distributed rank in `[0, n)` with exponent `s > 0`, rank 0 being
-    /// the most popular.
-    ///
-    /// Implemented with rejection-inversion (Hörmann & Derflinger), which is
-    /// O(1) per sample and needs no per-`n` precomputation — important
-    /// because workloads draw from regions holding hundreds of thousands of
-    /// pages.
+    /// the most popular: one draw of [`Zipf::new`]`(n, s)`. Generators that
+    /// draw repeatedly over one support hold a [`Zipf`] instead.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0` or `s <= 0`.
     pub fn zipf(&mut self, n: u64, s: f64) -> u64 {
-        assert!(n > 0, "zipf over empty support");
-        assert!(s > 0.0, "zipf exponent must be positive");
-        if n == 1 {
-            return 0;
-        }
-        // Helper H(x) = integral of x^-s (handles s == 1 via ln).
-        let h = |x: f64| -> f64 {
-            if (s - 1.0).abs() < 1e-9 {
-                x.ln()
-            } else {
-                (x.powf(1.0 - s) - 1.0) / (1.0 - s)
-            }
-        };
-        let h_inv = |y: f64| -> f64 {
-            if (s - 1.0).abs() < 1e-9 {
-                y.exp()
-            } else {
-                (1.0 + y * (1.0 - s)).powf(1.0 / (1.0 - s))
-            }
-        };
-        let nf = n as f64;
-        let h_x1 = h(1.5) - 1.0;
-        let h_n = h(nf + 0.5);
-        loop {
-            let u = h_x1 + self.unit() * (h_n - h_x1);
-            let x = h_inv(u);
-            let k = x.round().clamp(1.0, nf);
-            // Acceptance test.
-            if u >= h(k + 0.5) - k.powf(-s) {
-                return k as u64 - 1;
-            }
-        }
+        Zipf::new(n, s).sample(self)
     }
 
     /// Fisher–Yates shuffle of a slice.
@@ -171,6 +136,94 @@ impl DetRng {
         for i in (1..xs.len()).rev() {
             let j = self.uniform(i as u64 + 1) as usize;
             xs.swap(i, j);
+        }
+    }
+}
+
+/// A Zipf distribution over ranks `[0, n)` with exponent `s > 0`, rank 0
+/// being the most popular.
+///
+/// Sampling is rejection-inversion (Hörmann & Derflinger): O(1) per draw
+/// with no per-rank table, which matters because workloads draw from
+/// regions holding hundreds of thousands of pages. The two bounds of the
+/// inversion interval, `H(1.5) − 1` and `H(n + 0.5)`, depend only on
+/// `(n, s)` and are computed once here rather than on every draw.
+///
+/// # Examples
+///
+/// ```
+/// use sgx_sim::{DetRng, Zipf};
+///
+/// let zipf = Zipf::new(1000, 1.2);
+/// let mut a = DetRng::seed_from(7);
+/// let mut b = DetRng::seed_from(7);
+/// let rank = zipf.sample(&mut a);
+/// assert!(rank < 1000);
+/// assert_eq!(rank, b.zipf(1000, 1.2));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Zipf {
+    n: u64,
+    s: f64,
+    /// `s` is 1 to within 1e-9, where `H` is `ln` and its inverse `exp`.
+    log: bool,
+    h_x1: f64,
+    h_n: f64,
+}
+
+impl Zipf {
+    /// The distribution over `[0, n)` with exponent `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `s <= 0`.
+    pub fn new(n: u64, s: f64) -> Self {
+        assert!(n > 0, "zipf over empty support");
+        assert!(s > 0.0, "zipf exponent must be positive");
+        let mut z = Zipf {
+            n,
+            s,
+            log: (s - 1.0).abs() < 1e-9,
+            h_x1: 0.0,
+            h_n: 0.0,
+        };
+        z.h_x1 = z.h(1.5) - 1.0;
+        z.h_n = z.h(n as f64 + 0.5);
+        z
+    }
+
+    /// `H(x)`, the integral of `x^-s`.
+    fn h(&self, x: f64) -> f64 {
+        if self.log {
+            x.ln()
+        } else {
+            (x.powf(1.0 - self.s) - 1.0) / (1.0 - self.s)
+        }
+    }
+
+    /// The inverse of [`Zipf::h`].
+    fn h_inv(&self, y: f64) -> f64 {
+        if self.log {
+            y.exp()
+        } else {
+            (1.0 + y * (1.0 - self.s)).powf(1.0 / (1.0 - self.s))
+        }
+    }
+
+    /// Draws one rank from `rng`. A support of one rank draws nothing.
+    pub fn sample(&self, rng: &mut DetRng) -> u64 {
+        if self.n == 1 {
+            return 0;
+        }
+        let nf = self.n as f64;
+        loop {
+            let u = self.h_x1 + rng.unit() * (self.h_n - self.h_x1);
+            let x = self.h_inv(u);
+            let k = x.round().clamp(1.0, nf);
+            // Acceptance test.
+            if u >= self.h(k + 0.5) - k.powf(-self.s) {
+                return k as u64 - 1;
+            }
         }
     }
 }

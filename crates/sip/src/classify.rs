@@ -250,6 +250,18 @@ mod tests {
     }
 
     #[test]
+    fn stream_at_the_top_page_classifies_without_panicking() {
+        let mut c = Classifier::new(4);
+        assert_eq!(c.classify(p(u64::MAX - 1)), AccessClass::Class3);
+        // The stream matches, but no page lies beyond u64::MAX to preload,
+        // as no page lies below 0 for a backward stream.
+        assert_eq!(c.classify(p(u64::MAX)), AccessClass::Class3);
+        let mut c = Classifier::new(4);
+        c.classify(p(u64::MAX - 2));
+        assert_eq!(c.classify(p(u64::MAX - 1)), AccessClass::Class2);
+    }
+
+    #[test]
     fn hot_page_is_class1() {
         let mut c = Classifier::new(1 << 16);
         c.classify(p(5));

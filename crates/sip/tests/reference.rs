@@ -1,7 +1,7 @@
 //! Differential tests of the SIP profiler against a reference copy of its
 //! std-collections implementation (`HashMap` LRU proxy, allocating
 //! `StreamList::on_fault`, `BTreeMap` tallies, `HashSet` plan). Streams
-//! draw pages from a small pool that includes `0` and `u64::MAX` and
+//! draw pages from a small pool that runs from `0` up to `u64::MAX` and
 //! sites that include `u32::MAX`; proxy capacities of 1–8 make the LRU's
 //! lazy-deletion `retain` run.
 
@@ -18,9 +18,11 @@ use sgx_sip::{
 use sgx_workloads::{Access, SiteId};
 
 /// Small pages recur and form short forward and backward streams (a
-/// backward match at page 0 predicts nothing); `u64::MAX` is the key
-/// `FastMap` reserves.
-const PAGES: [u64; 14] = [
+/// backward match at page 0 predicts nothing); pages just below
+/// `u64::MAX` form streams that run into the top of the address space (a
+/// forward match at `u64::MAX` predicts nothing), and `u64::MAX` is also
+/// the key `FastMap` reserves.
+const PAGES: [u64; 18] = [
     0,
     1,
     2,
@@ -34,6 +36,10 @@ const PAGES: [u64; 14] = [
     102,
     5_000,
     1 << 40,
+    u64::MAX - 5,
+    u64::MAX - 3,
+    u64::MAX - 2,
+    u64::MAX - 1,
     u64::MAX,
 ];
 const SITES: [u32; 5] = [0, 1, 2, 7, u32::MAX];

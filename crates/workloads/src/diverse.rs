@@ -17,7 +17,7 @@
 //! crate: the same [`DetRng`] produces the identical access stream.
 
 use sgx_epc::VirtPage;
-use sgx_sim::{Cycles, DetRng};
+use sgx_sim::{Cycles, DetRng, Zipf};
 
 use crate::{Access, PageRange, SiteRange};
 
@@ -38,7 +38,7 @@ pub struct ZipfKv {
     region: PageRange,
     hot_pages: u64,
     remaining: u64,
-    exponent: f64,
+    ranks: Zipf,
     compute: Cycles,
     sites: SiteRange,
     hot_repeats: u32,
@@ -63,16 +63,15 @@ impl ZipfKv {
         rng: DetRng,
     ) -> Self {
         assert!(total > 0, "need at least one access");
-        assert!(exponent > 0.0, "zipf exponent must be positive");
         assert!(
             hot_pages >= 1 && hot_pages < region.len(),
             "hot prefix must be non-empty and smaller than the region"
         );
         ZipfKv {
+            ranks: Zipf::new(region.len(), exponent),
             region,
             hot_pages,
             remaining: total,
-            exponent,
             compute,
             sites,
             hot_repeats: 1,
@@ -106,7 +105,7 @@ impl Iterator for ZipfKv {
             return None;
         }
         self.remaining -= 1;
-        let rank = self.rng.zipf(self.region.len(), self.exponent);
+        let rank = self.ranks.sample(&mut self.rng);
         let (offset, repeats) = if rank < self.hot_pages {
             (rank, self.hot_repeats)
         } else {

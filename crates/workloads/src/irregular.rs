@@ -6,7 +6,7 @@
 //! *mcf* a wash under SIP (paper §5.2).
 
 use sgx_epc::VirtPage;
-use sgx_sim::{Cycles, DetRng};
+use sgx_sim::{Cycles, DetRng, Zipf};
 
 use crate::{Access, PageRange, SiteRange};
 
@@ -70,7 +70,7 @@ impl Iterator for UniformRandom {
 pub struct ZipfRandom {
     region: PageRange,
     remaining: u64,
-    exponent: f64,
+    ranks: Zipf,
     compute: Cycles,
     sites: SiteRange,
     rng: DetRng,
@@ -91,11 +91,10 @@ impl ZipfRandom {
         rng: DetRng,
     ) -> Self {
         assert!(total > 0, "need at least one access");
-        assert!(exponent > 0.0, "zipf exponent must be positive");
         ZipfRandom {
+            ranks: Zipf::new(region.len(), exponent),
             region,
             remaining: total,
-            exponent,
             compute,
             sites,
             rng,
@@ -112,7 +111,7 @@ impl Iterator for ZipfRandom {
         }
         self.remaining -= 1;
         let n = self.region.len();
-        let rank = self.rng.zipf(n, self.exponent);
+        let rank = self.ranks.sample(&mut self.rng);
         // Scramble rank → offset so hot pages scatter across the region.
         let offset = rank.wrapping_mul(SCRAMBLE) % n;
         let page = VirtPage::new(self.region.start + offset);

@@ -68,7 +68,7 @@ pub use sgx_workloads as workloads;
 pub use sgx_dfp::{
     AbortPolicy, LeapPredictor, MarkovPredictor, MultiStreamPredictor, NextLinePredictor,
     NoPredictor, ParsePredictorKindError, Prediction, Predictor, PredictorKind, ProcessId,
-    StreamConfig, StrideConfidentPredictor, StridePredictor,
+    StreamConfig, StreamConfigError, StrideConfidentPredictor, StridePredictor,
 };
 pub use sgx_epc::{CostModel, EpcSizing, VictimPolicy, VirtPage};
 pub use sgx_fleet::{

@@ -247,3 +247,52 @@ fn full_json_superset_carries_timing_context() {
     let canonical = report.to_canonical_json();
     assert!(!canonical.contains("wall_nanos"));
 }
+
+/// A zero stream-list length or `LOADLENGTH` under a DFP scheme is a
+/// typed error from the kernel builder, a run and a campaign, raised
+/// before any access runs; schemes without the stream predictor still run.
+#[test]
+fn degenerate_stream_config_is_a_typed_error_before_any_access() {
+    use sgx_preloading::{build_kernel, KernelError, StreamConfigError};
+
+    let base = SimConfig::at_scale(Scale::new(64));
+    for (stream, why) in [
+        (base.stream.with_list_len(0), StreamConfigError::EmptyList),
+        (
+            base.stream.with_load_length(0),
+            StreamConfigError::ZeroLoadLength,
+        ),
+    ] {
+        let cfg = base.with_stream(stream);
+        let err = KernelError::Stream(why);
+        assert_eq!(build_kernel(&cfg, Scheme::Hybrid).err(), Some(err));
+
+        let (sink, counts) = CountingSink::new();
+        let run = SimRun::new(&cfg)
+            .scheme(Scheme::Dfp)
+            .bench(Benchmark::Microbenchmark)
+            .sink(Box::new(sink))
+            .run_one();
+        assert_eq!(run, Err(SimError::Kernel(err)));
+        assert_eq!(counts.get().faults, 0, "no access may run");
+        assert!(SimRun::new(&cfg)
+            .scheme(Scheme::Sip)
+            .bench(Benchmark::Microbenchmark)
+            .run_one()
+            .is_ok());
+
+        let campaign = Campaign::grid(
+            "bad_stream",
+            7,
+            &[Benchmark::Microbenchmark],
+            &[Scheme::Baseline, Scheme::DfpStop],
+            cfg,
+        );
+        for jobs in [1, 4] {
+            let e = campaign.run_with_jobs(jobs).expect_err("DFP-stop cell");
+            assert_eq!((e.index, e.label.as_str()), (1, "microbenchmark/DFP-stop"));
+            assert_eq!(e.source, SimError::Kernel(err));
+            assert!(e.to_string().contains(&why.to_string()), "{e}");
+        }
+    }
+}

@@ -32,6 +32,18 @@ fn small_campaign() -> Campaign {
     )
 }
 
+/// The exact campaign `tests/golden/campaign_paper.json` pins: every
+/// paper benchmark under every kernel scheme, the grid `campaign` runs.
+fn paper_campaign() -> Campaign {
+    Campaign::grid(
+        "golden_paper",
+        2020,
+        &Benchmark::ALL,
+        &Scheme::ALL,
+        SimConfig::at_scale(Scale::new(64)),
+    )
+}
+
 /// The exact campaign `tests/golden/campaign_chaos_small.json` pins.
 fn small_chaos_campaign() -> Campaign {
     Campaign::chaos_grid(
@@ -60,6 +72,22 @@ fn campaign_golden_bits_survive_the_rewrite_at_jobs_1_and_4() {
                 .to_canonical_json(),
             want,
             "campaign_small.json diverged at --jobs {jobs}"
+        );
+    }
+}
+
+#[test]
+fn paper_campaign_golden_bits_survive_at_jobs_1_and_4() {
+    let want = golden("campaign_paper.json");
+    let campaign = paper_campaign();
+    for jobs in [1, 4] {
+        assert_eq!(
+            campaign
+                .run_with_jobs(jobs)
+                .expect("campaign run failed")
+                .to_canonical_json(),
+            want,
+            "campaign_paper.json diverged at --jobs {jobs}"
         );
     }
 }
